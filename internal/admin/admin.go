@@ -317,7 +317,6 @@ func (o *Orchestrator) submit(cmd Command) (uint64, error) {
 	if cmd.Kind == KindCrash || cmd.Kind == KindSetFailed {
 		// Immediate kinds: power cuts and member failures take effect
 		// now, not after queued maintenance drains.
-		o.start(r)
 		o.execImmediate(r)
 		return id, nil
 	}
@@ -420,7 +419,18 @@ func (o *Orchestrator) start(r *jobRun) {
 
 // finish retires the executing job and starts the next one.
 func (o *Orchestrator) finish(r *jobRun, err error) {
-	r.job.FinishedAt = int64(o.eng.Now())
+	if r.job.State.Terminal() {
+		return // a continuation outliving a power-loss abort
+	}
+	settle(r, err, o.eng.Now())
+	o.running = 0
+	o.publish()
+	o.kick()
+}
+
+// settle moves a job to its terminal state at time now.
+func settle(r *jobRun, err error, now sim.Time) {
+	r.job.FinishedAt = int64(now)
 	r.err = err
 	switch {
 	case err != nil:
@@ -431,14 +441,14 @@ func (o *Orchestrator) finish(r *jobRun, err error) {
 	default:
 		r.job.State = StateDone
 	}
-	o.running = 0
-	o.publish()
-	o.kick()
 }
 
 // gate is the step boundary for paced jobs: it observes cancel requests,
 // parks the continuation while paused, and otherwise proceeds.
 func (o *Orchestrator) gate(r *jobRun, cont func()) {
+	if r.job.State.Terminal() {
+		return // aborted by power loss: the job's work stops here
+	}
 	if r.cancelReq {
 		o.finish(r, nil)
 		return
@@ -452,12 +462,22 @@ func (o *Orchestrator) gate(r *jobRun, cont func()) {
 
 // execImmediate runs crash/set-failed synchronously at submit time.
 // Crash must kill in-flight commands, so it cannot be an event behind
-// them in the queue.
+// them in the queue. The job never occupies the serial slot: it sets its
+// own state and timestamps and leaves o.running and the queue to the
+// paced job that may be executing, so no second paced job starts.
 func (o *Orchestrator) execImmediate(r *jobRun) {
+	r.job.State = StateRunning
+	r.job.StartedAt = int64(o.eng.Now())
 	var err error
 	switch r.job.Kind {
 	case KindCrash:
 		err = o.p.Crash()
+		if err == nil && o.running != 0 {
+			// Power loss dropped the executing paced job's in-flight
+			// commands, so it can never complete: fail it and let the
+			// queue move on (a queued recover is the usual next job).
+			o.finish(o.jobs[o.running], fmt.Errorf("admin: job interrupted by power loss: %w", storerr.ErrCrashed))
+		}
 	case KindSetFailed:
 		if o.p.BIZA == nil {
 			err = fmt.Errorf("admin: degraded mode requires a BIZA platform: %w", storerr.ErrNotSupported)
@@ -466,7 +486,8 @@ func (o *Orchestrator) execImmediate(r *jobRun) {
 		}
 	}
 	r.job.Progress = Progress{Done: 1, Total: 1}
-	o.finish(r, err)
+	settle(r, err, o.eng.Now())
+	o.publish()
 }
 
 func (o *Orchestrator) exec(r *jobRun) {

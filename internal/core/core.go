@@ -34,6 +34,7 @@ import (
 	"biza/internal/nvme"
 	"biza/internal/obs"
 	"biza/internal/sim"
+	"biza/internal/zns"
 )
 
 // Class is a chunk placement class, mapping 1:1 onto zone-group types.
@@ -152,25 +153,53 @@ type bmtEntry struct {
 
 // smtEntry records a stripe: its data chunk locations, parity locations,
 // and the logical blocks its chunks carry (needed for stripe-dissolving GC
-// and degraded reads).
+// and degraded reads). While the stripe is open it also carries the append
+// flow's state: the running partial parity and its generation in flight.
+// One pooled record serves the stripe from newStripe to releaseStripe
+// (see records.go).
 type smtEntry struct {
+	sn      int64
 	chunks  []pa    // data chunk slots; contents feed parity even when stale
 	lbns    []int64 // logical block carried by each chunk; -1 when stale
-	parity  []pa    // m parity locations
+	parity  []pa    // m parity locations (each in its zone's ZRWA while open)
 	sealed  bool    // all k chunks written (final parity complete)
 	valid   int     // live data chunks
 	pending int     // chunk writes not yet completed (crash-consistency)
 
 	// In-place parity updates are read-modify-write on the parity slot;
 	// concurrent updates to one stripe must serialize or deltas are lost.
+	// ipq parks the waiting rewrites and dissolutions (*chunkOp,
+	// *dissolveOp).
 	ipBusy bool
-	ipq    []func()
+	ipq    fifo[sim.Handler]
 
 	// dissolving marks a stripe claimed by GC or rebuild. In-place updates
 	// mutate slot content without moving the bmt mapping, so a migration
 	// racing one would re-home the pre-update content and silently lose an
 	// acknowledged write; once set, rewrites take the append path instead.
 	dissolving bool
+
+	// Append flow (§4.1-4.2).
+	class         Class
+	count         int      // chunks joined
+	accs          [][]byte // running partial parity per row; nil without payloads
+	parityWritten bool     // first parity write is an append, later in-place
+
+	// One parity generation in flight per stripe; extra appends coalesce.
+	// Waiting chunks form a list through chunkOp.nextWaiter.
+	parityBusy  bool
+	parityDirty bool
+	parityLeft  int   // parity writes of the generation outstanding
+	parityErr   error // first error of the generation
+	waitHead    *chunkOp
+	waitTail    *chunkOp
+	parityFn    func(zns.WriteResult)
+
+	// refs counts asynchronous holds (parity generation, in-place update,
+	// parked resume); released marks a stripe releaseStripe has forgotten.
+	// The record is recycled once both say it is unreachable.
+	refs     int
+	released bool
 }
 
 // Core is the BIZA engine. It implements blockdev.Device.
@@ -203,7 +232,7 @@ type Core struct {
 	degradedWrites uint64 // chunk writes acked while their member was down
 
 	// allocWaiters holds writes parked on transient open-slot exhaustion.
-	allocWaiters []func()
+	allocWaiters []*chunkOp
 
 	nextSN    int64
 	seq       uint64 // monotonic write sequence for OOB disambiguation
@@ -211,7 +240,7 @@ type Core struct {
 	parityRot int
 
 	// Open stripes per class.
-	open [numClasses]*openStripe
+	open [numClasses]*smtEntry
 
 	// Latency EWMA for spike detection.
 	ewmaLatency float64
@@ -242,6 +271,16 @@ type Core struct {
 	vecFree [][][]byte
 	opsFree [][]schedOp
 	abFree  []*appendBatch
+
+	// Completion records (records.go).
+	userWrites freeList[userWrite]
+	chunkOps   freeList[chunkOp]
+	stripes    freeList[smtEntry]
+	dispatches freeList[dispatchOp]
+	dissolves  freeList[dissolveOp]
+	migrants   freeList[migrant]
+	recons     freeList[reconOp]
+	reads      freeList[readOp]
 }
 
 // Pool returns the core's unified buffer pool. The stack layer publishes
@@ -253,19 +292,6 @@ func (c *Core) Pool() *buf.Pool { return c.pool }
 // block-interface Write/Read end to end, and GC victim selections are
 // logged as typed events.
 func (c *Core) SetTracer(tr *obs.Trace) { c.tr = tr }
-
-type openStripe struct {
-	sn            int64
-	parity        []pa // m parity slots (each in its zone's ZRWA)
-	count         int
-	accs          [][]byte // running partial parity per row; nil without payloads
-	parityWritten bool     // first parity write is an append, later in-place
-
-	// One parity generation in flight per stripe; extra appends coalesce.
-	parityBusy    bool
-	parityDirty   bool
-	parityWaiters []func(error)
-}
 
 // New builds a BIZA array over the member queues. Queues must wrap
 // homogeneous devices. acct may be nil.

@@ -17,7 +17,7 @@ func devConfig() zns.Config {
 	return cfg
 }
 
-func newCore(t *testing.T, mutate func(*Config, *[]zns.Config)) (*sim.Engine, *Core, []*zns.Device) {
+func newCore(t testing.TB, mutate func(*Config, *[]zns.Config)) (*sim.Engine, *Core, []*zns.Device) {
 	t.Helper()
 	eng := sim.NewEngine()
 	dcfgs := make([]zns.Config, 4)

@@ -78,6 +78,7 @@ func Recover(queues []*nvme.Queue, cfg Config, acct *cpumodel.Accountant, done f
 			busy:      make(map[int]int),
 			busyConf:  make(map[int]bool),
 		}
+		ds.bindGC()
 		for z := 0; z < dcfg.NumZones; z++ {
 			ds.guessed[z] = z % dcfg.NumChannels
 		}
@@ -194,12 +195,13 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		zs := ds.zones[p.zone]
 		if zs == nil {
 			zs = &zoneState{
+				ds:         ds,
 				id:         p.zone,
 				doneSet:    make(map[int64]bool),
 				ipOffsets:  make(map[int64]int),
-				rmapLBN:    makeFilled(c.zoneBlocks, -1),
-				rmapSN:     makeFilled(c.zoneBlocks, -1),
-				rmapStripe: makeFilled(c.zoneBlocks, -1),
+				rmapLBN:    make(slotMap, c.zoneBlocks),
+				rmapSN:     make(slotMap, c.zoneBlocks),
+				rmapStripe: make(slotMap, c.zoneBlocks),
 			}
 			zs.wpAlloc = zoneWritten[p.dev][p.zone]
 			zs.maxSubmitted = zs.wpAlloc - 1
@@ -211,11 +213,11 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 	smtOf := func(sn int64) *smtEntry {
 		se := c.smt[sn]
 		if se == nil {
-			parity := make([]pa, c.cfg.Parity)
-			for i := range parity {
-				parity[i] = paNone
+			se = c.getStripe()
+			for i := range se.parity {
+				se.parity[i] = paNone
 			}
-			se = &smtEntry{parity: parity}
+			se.sn = sn
 			c.smt[sn] = se
 		}
 		return se
@@ -238,12 +240,12 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 			live = true
 		}
 		zs := zoneOf(r.p)
-		zs.rmapStripe[r.p.off] = r.sn
+		zs.rmapStripe.set(r.p.off, r.sn)
 		if live {
 			se.lbns[r.idx] = r.lbn
 			se.valid++
 			c.bmt[r.lbn] = bmtEntry{pa: r.p, sn: r.sn}
-			zs.rmapLBN[r.p.off] = r.lbn
+			zs.rmapLBN.set(r.p.off, r.lbn)
 			zs.valid++
 		}
 	}
@@ -255,7 +257,7 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 		se.parity[k.row] = w.p
 		se.sealed = true // recovered stripes are sealed (short if partial)
 		zs := zoneOf(w.p)
-		zs.rmapSN[w.p.off] = k.sn
+		zs.rmapSN.set(w.p.off, k.sn)
 		zs.valid++
 	}
 	// Drop stripes missing any parity record (never got their first
@@ -273,15 +275,16 @@ func (c *Core) rebuild(records []scanRecord, zoneWritten [][]int64, states [][]z
 				if lbn >= 0 {
 					delete(c.bmt, lbn)
 					if zs := c.devs[se.chunks[i].dev].zones[se.chunks[i].zone]; zs != nil {
-						if zs.rmapLBN[se.chunks[i].off] == lbn {
-							zs.rmapLBN[se.chunks[i].off] = -1
+						if zs.rmapLBN.get(se.chunks[i].off) == lbn {
+							zs.rmapLBN.set(se.chunks[i].off, -1)
 							zs.valid--
 						}
-						zs.rmapStripe[se.chunks[i].off] = -1
+						zs.rmapStripe.set(se.chunks[i].off, -1)
 					}
 				}
 			}
 			delete(c.smt, sn)
+			c.putStripe(se)
 		}
 	}
 	// Zone pools and groups: empty zones are free; full zones are GC

@@ -79,27 +79,21 @@ func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, do
 	if nblocks <= 0 || lba < 0 || lba+int64(nblocks) > c.Blocks() {
 		buf.Release(own)
 		if done != nil {
-			c.eng.After(sim.Microsecond, func() {
-				done(blockdev.WriteResult{Err: blockdev.ErrOutOfRange, Latency: c.eng.Now() - start})
-			})
+			w := c.getUserWrite()
+			w.start, w.err, w.done = start, blockdev.ErrOutOfRange, done
+			c.eng.AfterEvent(sim.Microsecond, w, 0, 0)
 		}
 		return
 	}
 	bs := c.chunkBytes()
 	c.userBytes += uint64(nblocks) * uint64(bs)
-	var span obs.SpanID
+	w := c.getUserWrite()
+	w.start, w.remaining, w.done = start, nblocks, done
 	if c.tr != nil {
-		span = c.tr.SpanBegin(int64(start), obs.LayerBIZA, obs.OpWrite, -1, -1, lba, int64(nblocks))
-		innerDone := done
-		done = func(r blockdev.WriteResult) {
-			c.tr.SpanEnd(span, int64(c.eng.Now()), r.Err != nil)
-			if innerDone != nil {
-				innerDone(r)
-			}
-		}
+		w.traced = true
+		w.span = c.tr.SpanBegin(int64(start), obs.LayerBIZA, obs.OpWrite, -1, -1, lba, int64(nblocks))
 	}
-	remaining := nblocks
-	var firstErr error
+	chunkDone := w.chunkFn
 	for i := 0; i < nblocks; i++ {
 		lbn := lba + int64(i)
 		var payload []byte
@@ -109,15 +103,7 @@ func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, do
 		c.clock += uint64(bs)
 		class := c.classify(lbn)
 		buf.Retain(own) // one reference per chunk, consumed by writeChunk
-		c.writeChunk(lbn, payload, own, class, zns.TagUserData, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 && done != nil {
-				done(blockdev.WriteResult{Err: firstErr, Latency: c.eng.Now() - start})
-			}
-		})
+		c.writeChunk(c.newChunk(lbn, payload, own, class, zns.TagUserData, chunkDone))
 	}
 	buf.Release(own) // drop the caller's transferred reference
 }
@@ -126,15 +112,13 @@ func (c *Core) writeCommon(lba int64, nblocks int, data []byte, own *buf.Buf, do
 // zone's ZRWA window (and is not pinned by GC), it is updated in place —
 // the paper's endurance fast path. Otherwise a new slot is allocated from
 // the class's zone group and the chunk joins the class's open stripe.
-// own, if non-nil, is one transferred reference pinning payload; every
-// path through the write flow consumes it exactly once.
-func (c *Core) writeChunk(lbn int64, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) {
-	if e, ok := c.bmt[lbn]; ok && !c.gcPinned[lbn] {
-		if c.tryInPlace(lbn, e, payload, own, class, tag, done) {
+func (c *Core) writeChunk(op *chunkOp) {
+	if e, ok := c.bmt[op.lbn]; ok && !c.gcPinned[op.lbn] {
+		if c.tryInPlace(op, e) {
 			return
 		}
 	}
-	c.appendChunk(lbn, payload, own, class, tag, done)
+	c.appendChunk(op)
 }
 
 // tryInPlace updates a chunk and its stripe's parity inside their ZRWA
@@ -143,7 +127,7 @@ func (c *Core) writeChunk(lbn int64, payload []byte, own *buf.Buf, class Class, 
 // either slot has been committed to flash. In-place read-modify-write of
 // a stripe's parity serializes per stripe (lost-delta and same-slot
 // reorder protection).
-func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) bool {
+func (c *Core) tryInPlace(op *chunkOp, e bmtEntry) bool {
 	if c.failed[e.pa.dev] {
 		return false // degraded member: append a fresh copy elsewhere
 	}
@@ -177,74 +161,34 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 	if chunkIdx < 0 {
 		return false
 	}
-	if payload != nil {
+	if op.payload != nil {
 		if se.ipBusy {
-			// The parked closure keeps the chunk's reference and re-transfers
-			// it when the queue drains.
-			se.ipq = append(se.ipq, func() { c.writeChunk(lbn, payload, own, class, tag, done) })
+			// The parked op keeps the chunk's reference and retries the
+			// whole write when the queue drains.
+			op.ipWait = se
+			se.refs++
+			se.ipq.push(op)
 			return true
 		}
 		se.ipBusy = true
 	}
 	c.inplaceHits++
 	c.seq++
-	seq := c.seq
 	m := len(se.parity)
-	pending := 1 + m
+	se.refs++ // held until the last slot write completes
+	op.se, op.e, op.ds, op.zs = se, e, ds, zs
+	op.chunkIdx, op.seq, op.pending, op.err = chunkIdx, c.seq, 1+m, nil
 	// Pin every slot NOW: the payload path reads before writing, and the
 	// window must not slide past any of these offsets in the meantime.
 	zs.ipOffsets[e.pa.off]++
 	for _, ppa := range se.parity {
 		c.devs[ppa.dev].zones[ppa.zone].ipOffsets[ppa.off]++
 	}
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-			// The slot's member died mid-update; the new content is still
-			// covered by the surviving slots, so the write completes
-			// degraded rather than failing.
-			c.degradedWrites++
-			err = nil
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		pending--
-		if pending > 0 {
-			return
-		}
-		if payload != nil {
-			se.ipBusy = false
-			c.ipNext(se)
-		}
-		if done != nil {
-			done(firstErr)
-		}
-	}
-	writeParity := func(r int, parityData []byte) {
-		ppa := se.parity[r]
-		pds := c.devs[ppa.dev]
-		pzs := pds.zones[ppa.zone]
-		c.parityBytes += uint64(c.blockSize)
-		pds.submitChunk(pzs, schedOp{
-			off: ppa.off, inplace: true, reserved: true, data: parityData,
-			ownData: parityData != nil,
-			oob:     c.encodeOOB(oobKindParity, int64(r), e.sn, seq, r), tag: zns.TagParity,
-			done: func(w zns.WriteResult) { finish(w.Err) },
-		})
-	}
-	writeData := func() {
-		ds.submitChunk(zs, schedOp{
-			off: e.pa.off, inplace: true, reserved: true, data: payload, own: own,
-			oob: c.encodeOOB(oobKindData, lbn, e.sn, seq, chunkIdx), tag: tag,
-			done: func(r zns.WriteResult) { finish(r.Err) },
-		})
-	}
-	if payload == nil {
+	if op.payload == nil {
 		// Performance mode: traffic without content.
-		writeData()
+		c.ipWriteData(op)
 		for r := 0; r < m; r++ {
-			writeParity(r, nil)
+			c.ipWriteParity(op, r, nil)
 		}
 		return true
 	}
@@ -252,192 +196,224 @@ func (c *Core) tryInPlace(lbn int64, e bmtEntry, payload []byte, own *buf.Buf, c
 	// reads, since every slot is inside a ZRWA window. Scratch comes from
 	// the unified pool; the read results (fresh heap copies from the
 	// device model) are donated into it once folded.
-	var oldData []byte
-	var readErr error
-	oldParity := c.getVec(m)
-	reads := 1 + m
-	afterReads := func() {
-		reads--
-		if reads > 0 {
-			return
-		}
-		if readErr != nil {
-			// The old content is unreadable (member death mid-update);
-			// folding unknown deltas would corrupt the surviving parity.
-			// Unwind the in-place attempt and re-home the chunk through
-			// the append path instead.
-			c.donateBuf(oldData)
-			for r := 0; r < m; r++ {
-				c.donateBuf(oldParity[r])
-			}
-			c.putVec(oldParity)
-			c.unpin(e.pa)
-			for _, ppa := range se.parity {
-				c.unpin(ppa)
-			}
-			se.ipBusy = false
-			c.ipNext(se)
-			c.appendChunk(lbn, payload, own, class, tag, done)
-			return
-		}
-		writeData()
-		// Fused single-pass kernels: delta = old ^ new in one XOR, then each
-		// parity row reads old parity and writes new parity in one sweep
-		// (DeltaRow) — no intermediate copy of either operand.
-		delta := c.pool.Alloc(c.blockSize)
-		if oldData != nil {
-			erasure.XOR(delta, oldData, payload)
-			c.donateBuf(oldData)
-		} else {
-			copy(delta, payload)
-		}
-		for r := 0; r < m; r++ {
-			var np []byte
-			if oldParity[r] != nil {
-				np = c.pool.Alloc(c.blockSize)
-				c.coder.DeltaRow(r, chunkIdx, delta, oldParity[r], np)
-				c.donateBuf(oldParity[r])
-			} else {
-				np = c.getBuf()
-				erasure.MulXor(c.coder.Coeff(r, chunkIdx), delta, np)
-			}
-			c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize))
-			writeParity(r, np)
-		}
-		c.putBuf(delta)
-		c.putVec(oldParity)
-	}
-	ds.q.Read(e.pa.zone, e.pa.off, 1, func(r zns.ReadResult) {
-		if r.Err != nil {
-			c.noteIOError(e.pa.dev, r.Err)
-			if readErr == nil {
-				readErr = r.Err
-			}
-		}
-		oldData = r.Data
-		afterReads()
-	})
+	op.oldParity = c.getVec(m)
+	op.reads = 1 + m
+	ds.q.Read(e.pa.zone, e.pa.off, 1, op.ipReadFn)
 	for r := 0; r < m; r++ {
-		r := r
 		ppa := se.parity[r]
-		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, func(res zns.ReadResult) {
-			if res.Err != nil {
-				c.noteIOError(ppa.dev, res.Err)
-				if readErr == nil {
-					readErr = res.Err
-				}
-			}
-			oldParity[r] = res.Data
-			afterReads()
-		})
+		c.devs[ppa.dev].q.Read(ppa.zone, ppa.off, 1, op.rowReadFn(r))
 	}
 	return true
+}
+
+// dataRead completes the in-place update's read of the old chunk.
+func (op *chunkOp) dataRead(r zns.ReadResult) {
+	if r.Err != nil {
+		op.c.noteIOError(op.e.pa.dev, r.Err)
+		if op.readErr == nil {
+			op.readErr = r.Err
+		}
+	}
+	op.oldData = r.Data
+	op.c.afterReads(op)
+}
+
+// parityRead completes the in-place update's read of parity row r.
+func (op *chunkOp) parityRead(r int, res zns.ReadResult) {
+	if res.Err != nil {
+		op.c.noteIOError(op.se.parity[r].dev, res.Err)
+		if op.readErr == nil {
+			op.readErr = res.Err
+		}
+	}
+	op.oldParity[r] = res.Data
+	op.c.afterReads(op)
+}
+
+// afterReads folds the parity deltas once every old slot has been read,
+// then writes the chunk and its parities in place.
+func (c *Core) afterReads(op *chunkOp) {
+	op.reads--
+	if op.reads > 0 {
+		return
+	}
+	se, m := op.se, len(op.oldParity)
+	oldData, oldParity := op.oldData, op.oldParity
+	op.oldData, op.oldParity = nil, nil
+	if op.readErr != nil {
+		// The old content is unreadable (member death mid-update);
+		// folding unknown deltas would corrupt the surviving parity.
+		// Unwind the in-place attempt and re-home the chunk through
+		// the append path instead.
+		op.readErr = nil
+		c.donateBuf(oldData)
+		for r := 0; r < m; r++ {
+			c.donateBuf(oldParity[r])
+		}
+		c.putVec(oldParity)
+		c.unpin(op.e.pa)
+		for _, ppa := range se.parity {
+			c.unpin(ppa)
+		}
+		se.ipBusy = false
+		c.ipNext(se)
+		c.dropStripe(se)
+		c.appendChunk(op)
+		return
+	}
+	c.ipWriteData(op)
+	// Fused single-pass kernels: delta = old ^ new in one XOR, then each
+	// parity row reads old parity and writes new parity in one sweep
+	// (DeltaRow) — no intermediate copy of either operand.
+	delta := c.pool.Alloc(c.blockSize)
+	if oldData != nil {
+		erasure.XOR(delta, oldData, op.payload)
+		c.donateBuf(oldData)
+	} else {
+		copy(delta, op.payload)
+	}
+	for r := 0; r < m; r++ {
+		var np []byte
+		if oldParity[r] != nil {
+			np = c.pool.Alloc(c.blockSize)
+			c.coder.DeltaRow(r, op.chunkIdx, delta, oldParity[r], np)
+			c.donateBuf(oldParity[r])
+		} else {
+			np = c.getBuf()
+			erasure.MulXor(c.coder.Coeff(r, op.chunkIdx), delta, np)
+		}
+		c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize))
+		c.ipWriteParity(op, r, np)
+	}
+	c.putBuf(delta)
+	c.putVec(oldParity)
+}
+
+// ipWriteData rewrites the chunk in place; the op's payload reference
+// moves to the dispatch.
+func (c *Core) ipWriteData(op *chunkOp) {
+	op.ds.submitChunk(op.zs, schedOp{
+		off: op.e.pa.off, inplace: true, reserved: true, data: op.payload, own: op.own,
+		oob: c.encodeOOB(oobKindData, op.lbn, op.e.sn, op.seq, op.chunkIdx), tag: op.tag,
+		done: op.ipWriteFn,
+	})
+}
+
+// ipWriteParity rewrites parity row r in place with parityData (nil in
+// performance mode).
+func (c *Core) ipWriteParity(op *chunkOp, r int, parityData []byte) {
+	ppa := op.se.parity[r]
+	pds := c.devs[ppa.dev]
+	pzs := pds.zones[ppa.zone]
+	c.parityBytes += uint64(c.blockSize)
+	pds.submitChunk(pzs, schedOp{
+		off: ppa.off, inplace: true, reserved: true, data: parityData,
+		ownData: parityData != nil,
+		oob:     c.encodeOOB(oobKindParity, int64(r), op.e.sn, op.seq, r), tag: zns.TagParity,
+		done: op.ipWriteFn,
+	})
+}
+
+// inPlaceWritten completes one of the in-place update's 1+m slot writes;
+// the last one releases the stripe and acknowledges the chunk.
+func (op *chunkOp) inPlaceWritten(w zns.WriteResult) {
+	c := op.c
+	err := w.Err
+	if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
+		// The slot's member died mid-update; the new content is still
+		// covered by the surviving slots, so the write completes
+		// degraded rather than failing.
+		c.degradedWrites++
+		err = nil
+	}
+	if err != nil && op.err == nil {
+		op.err = err
+	}
+	op.pending--
+	if op.pending > 0 {
+		return
+	}
+	se := op.se
+	if op.payload != nil {
+		se.ipBusy = false
+		c.ipNext(se)
+	}
+	c.dropStripe(se)
+	op.finish()
 }
 
 // ipNext drains a stripe's queued rewrites. Each popped entry either takes
 // the in-place path again (sets ipBusy; its completion resumes the drain)
 // or falls through to an append (which never pops), so the drain continues
 // until the stripe is busy or the queue is empty — queued writes can never
-// strand behind a path change (slot flushed, stripe dissolving).
+// strand behind a path change (slot flushed, stripe dissolving). The
+// popped record's Fire resumes it and continues the drain.
 func (c *Core) ipNext(se *smtEntry) {
-	if se.ipBusy || len(se.ipq) == 0 {
+	if se.ipBusy || se.ipq.len() == 0 {
 		return
 	}
-	next := se.ipq[0]
-	se.ipq = se.ipq[1:]
-	c.eng.After(0, func() {
-		next()
-		c.ipNext(se)
-	})
+	c.eng.AfterEvent(0, se.ipq.pop(), 0, 0)
 }
 
 // appendChunk allocates a fresh slot for the chunk, joins it to the open
-// stripe of its class, and updates the partial parity in place. own, if
-// non-nil, is one transferred reference pinning payload (parked closures
-// carry it along until the chunk dispatches).
-func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class, tag zns.WriteTag, done func(error)) {
+// stripe of its class, and updates the partial parity in place. The op
+// carries the chunk's payload reference while parked, until the chunk
+// dispatches.
+func (c *Core) appendChunk(op *chunkOp) {
+	class := op.class
 	// Free-zone cliff: park user work while GC needs headroom; GC's own
 	// migrations (classGC) bypass.
 	if class != classGC {
 		for _, ds := range c.devs {
 			if len(ds.freeZones) <= c.stallFloor() && ds.pickVictim() >= 0 {
-				ds.stalled = append(ds.stalled, func() {
-					c.appendChunk(lbn, payload, own, class, tag, done)
-				})
+				ds.stalled.push(op)
 				c.maybeStartGC(ds)
 				return
 			}
 		}
 	}
-	st := c.open[class]
-	if st == nil || st.count >= c.nData {
+	se := c.open[class]
+	if se == nil || se.count >= c.nData {
 		ns, err := c.newStripe(class)
 		if err != nil {
 			// Transient: open-zone slots exhausted while retired zones
 			// drain. Park and retry when a slot frees.
-			c.allocWaiters = append(c.allocWaiters, func() {
-				c.appendChunk(lbn, payload, own, class, tag, done)
-			})
+			c.allocWaiters = append(c.allocWaiters, op)
 			return
 		}
-		st = ns
-		c.open[class] = st
+		se = ns
+		c.open[class] = se
 	}
 	// Data device: skip the stripe's parity devices, rotating through the
 	// remainder by chunk index so stripe members stay distinct.
-	dev := c.stripeDataDevice(st, st.count)
+	dev := c.stripeDataDevice(se, se.count)
 	ds := c.devs[dev]
 	zs, off, err := ds.alloc(class)
 	if err != nil {
-		c.allocWaiters = append(c.allocWaiters, func() {
-			c.appendChunk(lbn, payload, own, class, tag, done)
-		})
+		c.allocWaiters = append(c.allocWaiters, op)
 		return
 	}
 	// Invalidate the previous copy.
-	c.invalidate(lbn)
+	c.invalidate(op.lbn)
 
-	sn := st.sn
-	se := c.smt[sn]
+	sn := se.sn
 	se.chunks = append(se.chunks, pa{dev: dev, zone: zs.id, off: off})
-	se.lbns = append(se.lbns, lbn)
+	se.lbns = append(se.lbns, op.lbn)
 	se.valid++
 	se.pending++
-	c.bmt[lbn] = bmtEntry{pa: pa{dev: dev, zone: zs.id, off: off}, sn: sn}
-	zs.rmapLBN[off] = lbn
-	zs.rmapStripe[off] = sn
+	c.bmt[op.lbn] = bmtEntry{pa: pa{dev: dev, zone: zs.id, off: off}, sn: sn}
+	zs.rmapLBN.set(off, op.lbn)
+	zs.rmapStripe.set(off, sn)
 	zs.valid++
 	c.acct.Charge(cpumodel.CompBIZA, cpumodel.CostMapUpdate)
 
 	c.seq++
 	seq := c.seq
-	pending := 2
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		pending--
-		if pending == 0 && done != nil {
-			done(firstErr)
-		}
-	}
+	op.se, op.pending, op.err = se, 2, nil // data write + parity generation
 	ds.submitChunk(zs, schedOp{
-		off: off, data: payload, own: own,
-		oob: c.encodeOOB(oobKindData, lbn, sn, seq, st.count), tag: tag,
-		done: func(r zns.WriteResult) {
-			se.pending--
-			err := r.Err
-			if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-				// The member died under the append. The payload was
-				// already folded into the stripe's parity accumulator
-				// host-side, so the chunk remains reconstructable from
-				// the survivors: acknowledge the write degraded.
-				c.degradedWrites++
-				err = nil
-			}
-			finish(err)
-		},
+		off: off, data: op.payload, own: op.own,
+		oob: c.encodeOOB(oobKindData, op.lbn, sn, seq, se.count), tag: op.tag,
+		done: op.appendFn,
 	})
 
 	// Partial parity: fold the chunk into every row's accumulator and
@@ -445,98 +421,83 @@ func (c *Core) appendChunk(lbn int64, payload []byte, own *buf.Buf, class Class,
 	// ZRWA). The first write of each slot is its append; later updates are
 	// in-place and absorbed by the device buffer. A slot flushed out of
 	// its window (stripe lingered) is relocated.
-	if payload != nil {
-		if st.accs == nil {
-			st.accs = c.getVec(c.cfg.Parity)
-			for r := range st.accs {
-				st.accs[r] = c.getBuf()
+	if op.payload != nil {
+		if se.accs == nil {
+			se.accs = c.getVec(c.cfg.Parity)
+			for r := range se.accs {
+				se.accs[r] = c.getBuf()
 			}
 		}
-		for r := range st.accs {
-			erasure.MulXor(c.coder.Coeff(r, st.count), payload, st.accs[r])
+		for r := range se.accs {
+			erasure.MulXor(c.coder.Coeff(r, se.count), op.payload, se.accs[r])
 		}
 		c.acct.ChargeParity(cpumodel.CompBIZA, int64(c.blockSize)*int64(c.cfg.Parity))
 	}
-	st.count++
-	if st.count >= c.nData {
+	se.count++
+	if se.count >= c.nData {
 		se.sealed = true
 		c.open[class] = nil
 	}
-	c.writeStripeParity(st, se, class, seq, func(err error) { finish(err) })
+	c.writeStripeParity(se, seq, op)
+}
+
+// appendDone completes an appended chunk's data write.
+func (op *chunkOp) appendDone(r zns.WriteResult) {
+	c := op.c
+	op.se.pending--
+	err := r.Err
+	if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
+		// The member died under the append. The payload was already
+		// folded into the stripe's parity accumulator host-side, so the
+		// chunk remains reconstructable from the survivors: acknowledge
+		// the write degraded.
+		c.degradedWrites++
+		err = nil
+	}
+	op.part(err)
 }
 
 // writeStripeParity schedules a rewrite of the stripe's parity slot with
-// the current accumulator. Only one parity write per stripe is in flight:
-// concurrent chunk appends coalesce onto the next write (same-slot
-// delivery reordering would otherwise leave a stale accumulator final).
-func (c *Core) writeStripeParity(st *openStripe, se *smtEntry, class Class, seq uint64, done func(error)) {
-	st.parityWaiters = append(st.parityWaiters, done)
-	if st.parityBusy {
-		st.parityDirty = true
+// the current accumulator; op waits for it. Only one parity write per
+// stripe is in flight: concurrent chunk appends coalesce onto the next
+// write (same-slot delivery reordering would otherwise leave a stale
+// accumulator final).
+func (c *Core) writeStripeParity(se *smtEntry, seq uint64, op *chunkOp) {
+	if se.waitTail == nil {
+		se.waitHead = op
+	} else {
+		se.waitTail.nextWaiter = op
+	}
+	se.waitTail = op
+	if se.parityBusy {
+		se.parityDirty = true
 		return
 	}
-	c.issueParity(st, se, class, seq)
+	se.refs++ // held until the generation's waiters are answered
+	c.issueParity(se, seq)
 }
 
-func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64) {
-	st.parityBusy = true
-	st.parityDirty = false
-	m := len(st.parity)
-	remaining := m
-	var firstErr error
-	parityDone := func(err error) {
-		if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
-			// A parity member died: this row is missing, but the data
-			// chunks (and any surviving rows) keep the stripe within its
-			// fault budget.
-			c.degradedWrites++
-			err = nil
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		if st.parityDirty {
-			c.issueParity(st, se, class, c.seq)
-			return
-		}
-		st.parityBusy = false
-		// A sealed stripe takes no more appends, and the last parity copy
-		// is on its way to the device — the accumulators retire here.
-		if se.sealed && st.accs != nil {
-			for r := range st.accs {
-				c.putBuf(st.accs[r])
-			}
-			c.putVec(st.accs)
-			st.accs = nil
-		}
-		waiters := st.parityWaiters
-		st.parityWaiters = nil
-		for _, w := range waiters {
-			if w != nil {
-				w(firstErr)
-			}
-		}
-	}
-	wasWritten := st.parityWritten
-	st.parityWritten = true
+func (c *Core) issueParity(se *smtEntry, seq uint64) {
+	se.parityBusy = true
+	se.parityDirty = false
+	m := len(se.parity)
+	se.parityLeft, se.parityErr = m, nil
+	wasWritten := se.parityWritten
+	se.parityWritten = true
 	// A sealed stripe takes no further appends, so this is the final parity
 	// generation: move the accumulators into the dispatch instead of
 	// copying them (parityDone's retirement sweep skips the nil slots).
 	final := se.sealed
 	for r := 0; r < m; r++ {
-		ppa := st.parity[r]
+		ppa := se.parity[r]
 		pds := c.devs[ppa.dev]
 		pzs := pds.zones[ppa.zone]
 		var parityData []byte
-		if st.accs != nil {
+		if se.accs != nil {
 			if final {
-				parityData, st.accs[r] = st.accs[r], nil
+				parityData, se.accs[r] = se.accs[r], nil
 			} else {
-				parityData = c.copyBuf(st.accs[r])
+				parityData = c.copyBuf(se.accs[r])
 			}
 		}
 		c.parityBytes += uint64(c.blockSize)
@@ -544,53 +505,98 @@ func (c *Core) issueParity(st *openStripe, se *smtEntry, class Class, seq uint64
 		// swaps in a fresh devState whose zones know nothing of slots
 		// handed out before the swap, and an in-place write through such a
 		// stale placement would corrupt the fresh zone's write pointer.
-		inWindow := pzs != nil && !pzs.sealedF && pzs.rmapSN[ppa.off] == st.sn &&
+		inWindow := pzs != nil && !pzs.sealedF && pzs.rmapSN.get(ppa.off) == se.sn &&
 			ppa.off >= pzs.devWP(c.zrwaBlocks)
 		if inWindow {
 			pds.submitChunk(pzs, schedOp{
 				off: ppa.off, inplace: wasWritten, data: parityData,
 				ownData: parityData != nil,
-				oob:     c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
-				done: func(w zns.WriteResult) { parityDone(w.Err) },
+				oob:     c.encodeOOB(oobKindParity, int64(r), se.sn, seq, r), tag: zns.TagParity,
+				done: se.parityFn,
 			})
 			continue
 		}
 		// Relocate: free the stale slot and append the full partial parity
 		// to a fresh slot on the same device (member distinctness holds).
-		if pzs != nil && pzs.rmapSN[ppa.off] == st.sn {
-			pzs.rmapSN[ppa.off] = -1
+		if pzs != nil && pzs.rmapSN.get(ppa.off) == se.sn {
+			pzs.rmapSN.set(ppa.off, -1)
 			pzs.valid--
 		}
-		nzs, noff, err := pds.alloc(class)
+		nzs, noff, err := pds.alloc(se.class)
 		if err != nil {
 			c.putBuf(parityData)
-			parityDone(err)
+			c.parityDone(se, err)
 			continue
 		}
-		st.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
-		se.parity[r] = st.parity[r]
-		nzs.rmapSN[noff] = st.sn
+		se.parity[r] = pa{dev: ppa.dev, zone: nzs.id, off: noff}
+		nzs.rmapSN.set(noff, se.sn)
 		nzs.valid++
 		pds.submitChunk(nzs, schedOp{
 			off: noff, data: parityData, ownData: parityData != nil,
-			oob: c.encodeOOB(oobKindParity, int64(r), st.sn, seq, r), tag: zns.TagParity,
-			done: func(w zns.WriteResult) { parityDone(w.Err) },
+			oob: c.encodeOOB(oobKindParity, int64(r), se.sn, seq, r), tag: zns.TagParity,
+			done: se.parityFn,
 		})
 	}
 }
 
+// parityDone completes one parity write of the stripe's generation in
+// flight; the last one starts the next generation if appends coalesced
+// meanwhile, or else answers every waiting chunk.
+func (c *Core) parityDone(se *smtEntry, err error) {
+	if err != nil && storerr.Reconstructable(err) && c.degradedOK() {
+		// A parity member died: this row is missing, but the data
+		// chunks (and any surviving rows) keep the stripe within its
+		// fault budget.
+		c.degradedWrites++
+		err = nil
+	}
+	if err != nil && se.parityErr == nil {
+		se.parityErr = err
+	}
+	se.parityLeft--
+	if se.parityLeft > 0 {
+		return
+	}
+	if se.parityDirty {
+		c.issueParity(se, c.seq)
+		return
+	}
+	se.parityBusy = false
+	// A sealed stripe takes no more appends, and the last parity copy
+	// is on its way to the device — the accumulators retire here.
+	if se.sealed && se.accs != nil {
+		for r := range se.accs {
+			c.putBuf(se.accs[r])
+		}
+		c.putVec(se.accs)
+		se.accs = nil
+	}
+	// Detach the waiter list first: an answered chunk may append to this
+	// stripe again and start the next generation.
+	err = se.parityErr
+	w := se.waitHead
+	se.waitHead, se.waitTail = nil, nil
+	for w != nil {
+		next := w.nextWaiter
+		w.nextWaiter = nil
+		w.part(err)
+		w = next
+	}
+	c.dropStripe(se)
+}
+
 // stripeDataDevice maps a stripe's chunk index to a member device,
 // skipping the stripe's parity devices.
-func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
+func (c *Core) stripeDataDevice(se *smtEntry, idx int) int {
 	isParity := func(d int) bool {
-		for _, p := range st.parity {
+		for _, p := range se.parity {
 			if p.dev == d {
 				return true
 			}
 		}
 		return false
 	}
-	base := st.parity[0].dev
+	base := se.parity[0].dev
 	seen := 0
 	for i := 1; i <= len(c.devs); i++ {
 		d := (base + i) % len(c.devs)
@@ -607,12 +613,12 @@ func (c *Core) stripeDataDevice(st *openStripe, idx int) int {
 
 // newStripe opens a stripe for a class: rotates the parity devices and
 // allocates one parity slot from each of their class groups.
-func (c *Core) newStripe(class Class) (*openStripe, error) {
+func (c *Core) newStripe(class Class) (*smtEntry, error) {
 	m := c.cfg.Parity
 	base := c.parityRot % len(c.devs)
 	c.parityRot++
 	sn := c.nextSN
-	parity := make([]pa, m)
+	se := c.getStripe()
 	for r := 0; r < m; r++ {
 		pdev := (base + r) % len(c.devs)
 		pds := c.devs[pdev]
@@ -620,22 +626,23 @@ func (c *Core) newStripe(class Class) (*openStripe, error) {
 		if err != nil {
 			// Roll back slots already taken for this stripe.
 			for rr := 0; rr < r; rr++ {
-				q := parity[rr]
-				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.rmapSN[q.off] == sn {
-					zs.rmapSN[q.off] = -1
+				q := se.parity[rr]
+				if zs := c.devs[q.dev].zones[q.zone]; zs != nil && zs.rmapSN.get(q.off) == sn {
+					zs.rmapSN.set(q.off, -1)
 					zs.valid--
 				}
 			}
+			c.putStripe(se)
 			return nil, err
 		}
-		parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
-		pzs.rmapSN[poff] = sn
+		se.parity[r] = pa{dev: pdev, zone: pzs.id, off: poff}
+		pzs.rmapSN.set(poff, sn)
 		pzs.valid++
 	}
 	c.nextSN++
-	st := &openStripe{sn: sn, parity: parity}
-	c.smt[sn] = &smtEntry{parity: append([]pa(nil), parity...)}
-	return st, nil
+	se.sn, se.class = sn, class
+	c.smt[sn] = se
+	return se, nil
 }
 
 // invalidate drops the previous copy of a logical block: clears its zone
@@ -647,8 +654,8 @@ func (c *Core) invalidate(lbn int64) {
 		return
 	}
 	ds := c.devs[e.pa.dev]
-	if zs := ds.zones[e.pa.zone]; zs != nil && zs.rmapLBN[e.pa.off] == lbn {
-		zs.rmapLBN[e.pa.off] = -1
+	if zs := ds.zones[e.pa.zone]; zs != nil && zs.rmapLBN.get(e.pa.off) == lbn {
+		zs.rmapLBN.set(e.pa.off, -1)
 		zs.valid--
 	}
 	if se := c.smt[e.sn]; se != nil {
@@ -669,14 +676,15 @@ func (c *Core) invalidate(lbn int64) {
 }
 
 // releaseStripe frees a dead stripe's parity slots, clears its slots'
-// stripe ownership, and forgets it.
+// stripe ownership, and forgets it. The record is recycled now, or by
+// the last asynchronous hold still on it.
 func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 	for _, p := range se.parity {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapSN[p.off] == sn {
-			zs.rmapSN[p.off] = -1
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapSN.get(p.off) == sn {
+			zs.rmapSN.set(p.off, -1)
 			zs.valid--
 		}
 	}
@@ -684,11 +692,15 @@ func (c *Core) releaseStripe(sn int64, se *smtEntry) {
 		if p.dev < 0 {
 			continue
 		}
-		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapStripe[p.off] == sn {
-			zs.rmapStripe[p.off] = -1
+		if zs := c.devs[p.dev].zones[p.zone]; zs != nil && zs.rmapStripe.get(p.off) == sn {
+			zs.rmapStripe.set(p.off, -1)
 		}
 	}
 	delete(c.smt, sn)
+	se.released = true
+	if se.refs == 0 {
+		c.putStripe(se)
+	}
 }
 
 // Trim implements blockdev.Device.

@@ -6,6 +6,7 @@ import (
 	"biza/internal/buf"
 	"biza/internal/cpumodel"
 	"biza/internal/nvme"
+	"biza/internal/sim"
 	"biza/internal/zns"
 )
 
@@ -14,6 +15,7 @@ import (
 // sliding window's left edge), and the queue of writes waiting for the
 // window to slide.
 type zoneState struct {
+	ds    *devState
 	id    int
 	class Class
 
@@ -36,9 +38,9 @@ type zoneState struct {
 	// could land behind the device's committed boundary.
 	ipOffsets map[int64]int
 
-	rmapLBN    []int64 // off -> logical block (live data chunks), -1 otherwise
-	rmapSN     []int64 // off -> stripe number (parity chunks), -1 otherwise
-	rmapStripe []int64 // off -> owning stripe of the data slot (live or stale)
+	rmapLBN    slotMap // off -> logical block (live data chunks), -1 otherwise
+	rmapSN     slotMap // off -> stripe number (parity chunks), -1 otherwise
+	rmapStripe slotMap // off -> owning stripe of the data slot (live or stale)
 	valid      int64
 	sealedF    bool // finishing/finished: no further writes accepted
 }
@@ -113,7 +115,23 @@ type devState struct {
 	busyConf map[int]bool // channel marked from a confirmed zone
 
 	gcRunning bool
-	stalled   []func()
+	stalled   fifo[*chunkOp] // appends parked at the free-zone cliff
+
+	// The collection in flight (gcStep): its victim, the BUSY tags to
+	// drop when the victim resets, the stripes it dissolves, and how many
+	// are still migrating.
+	gcVictim   int
+	gcBusy     []busyTag
+	gcSNs      []int64
+	gcLeft     int
+	gcStripeFn func()
+	gcResetFn  func(error)
+}
+
+// busyTag is one channel tagged BUSY by a collection.
+type busyTag struct {
+	ds *devState
+	ch int
 }
 
 func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
@@ -129,6 +147,7 @@ func newDevState(c *Core, id int, q *nvme.Queue) (*devState, error) {
 		busy:      make(map[int]int),
 		busyConf:  make(map[int]bool),
 	}
+	ds.bindGC()
 	for z := 0; z < cfg.NumZones; z++ {
 		ds.freeZones = append(ds.freeZones, z)
 		ds.guessed[z] = z % cfg.NumChannels // round-robin guess (§4.3)
@@ -196,50 +215,55 @@ func (ds *devState) openNewZone(class Class) (*zoneState, error) {
 		ds.guessed[z] = ch
 		ds.confirmed[z] = true
 	}
-	zb := ds.c.zoneBlocks
 	zs := &zoneState{
-		id:         z,
-		class:      class,
-		doneSet:    make(map[int64]bool),
-		ipOffsets:  make(map[int64]int),
-		rmapLBN:    makeFilled(zb, -1),
-		rmapSN:     makeFilled(zb, -1),
-		rmapStripe: makeFilled(zb, -1),
+		ds:        ds,
+		id:        z,
+		class:     class,
+		doneSet:   make(map[int64]bool),
+		ipOffsets: make(map[int64]int),
 	}
 	ds.zones[z] = zs
 	return zs, nil
 }
 
-func makeFilled(n int64, v int64) []int64 {
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = v
+// slotMap maps a zone's block offsets to a logical block or stripe
+// number, or -1 for none. It stores value+1, so a freshly allocated map
+// reads as all -1 without a fill pass, and a zone's maps are made only
+// when its first slot is allocated (nil reads as all -1): opening zones,
+// array construction included, costs no map pages.
+type slotMap []int64
+
+func (m slotMap) get(off int64) int64 {
+	if m == nil {
+		return -1
 	}
-	return s
+	return m[off] - 1
 }
+
+func (m slotMap) set(off, v int64) { m[off] = v + 1 }
 
 // channelBusy reports whether a channel carries GC traffic.
 func (ds *devState) channelBusy(ch int) bool { return ds.busy[ch] > 0 }
 
 // markBusy tags the guessed channel of zone z as BUSY for the duration of
-// a GC phase; fromConfirmed notes whether the channel identity is certain.
-func (ds *devState) markBusy(z int) (ch int, release func()) {
-	ch = ds.guessed[z]
+// a GC phase (busyConf notes whether the channel identity is certain) and
+// returns the tag to release when the phase ends.
+func (ds *devState) markBusy(z int) busyTag {
+	ch := ds.guessed[z]
 	ds.busy[ch]++
 	if ds.confirmed[z] {
 		ds.busyConf[ch] = true
 	}
-	released := false
-	return ch, func() {
-		if released {
-			return
-		}
-		released = true
-		ds.busy[ch]--
-		if ds.busy[ch] <= 0 {
-			delete(ds.busy, ch)
-			delete(ds.busyConf, ch)
-		}
+	return busyTag{ds: ds, ch: ch}
+}
+
+// release drops one BUSY tag taken by markBusy.
+func (t busyTag) release() {
+	ds := t.ds
+	ds.busy[t.ch]--
+	if ds.busy[t.ch] <= 0 {
+		delete(ds.busy, t.ch)
+		delete(ds.busyConf, t.ch)
 	}
 }
 
@@ -291,6 +315,10 @@ func (ds *devState) alloc(class Class) (*zoneState, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	if zs.rmapLBN == nil {
+		zb := ds.c.zoneBlocks
+		zs.rmapLBN, zs.rmapSN, zs.rmapStripe = make(slotMap, zb), make(slotMap, zb), make(slotMap, zb)
+	}
 	off := zs.wpAlloc
 	zs.wpAlloc++
 	return zs, off, nil
@@ -328,11 +356,14 @@ func (ds *devState) submitChunk(zs *zoneState, op schedOp) {
 	zs.stage = b
 	if !zs.stagePending {
 		zs.stagePending = true
-		ds.c.eng.After(0, func() {
-			zs.stagePending = false
-			ds.flushStage(zs)
-		})
+		ds.c.eng.AfterEvent(0, zs, 0, 0)
 	}
+}
+
+// Fire flushes the zone's staged batch at the end of the submitting event.
+func (zs *zoneState) Fire(_, _ sim.Time) {
+	zs.stagePending = false
+	zs.ds.flushStage(zs)
 }
 
 // flushStage moves the staged batch to dispatch or the window queue.
@@ -370,41 +401,47 @@ func (ds *devState) dispatchInPlace(zs *zoneState, op schedOp) {
 	// In-place updates deliberately ignore BUSY tags (§4.3: the ZRWA
 	// buffer is separate from the flash channels), so they are not scored.
 	zs.inflight++
-	var oob [][]byte
+	d := ds.c.getDispatch(ds, zs)
+	d.ip = op
 	if op.oob != nil {
-		oob = ds.c.getVec(1)
-		oob[0] = op.oob
-	}
-	done := func(r zns.WriteResult) {
-		zs.inflight--
-		ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
-		zs.ipOffsets[op.off]--
-		if zs.ipOffsets[op.off] <= 0 {
-			delete(zs.ipOffsets, op.off)
-		}
-		ds.c.observeLatency(ds, zs, r)
-		if op.done != nil {
-			op.done(r)
-		}
-		// The device copied OOB (and any raw payload) at submission, or
-		// holds references to a refcounted payload; recycle and release.
-		ds.c.putOOB(op.oob)
-		ds.c.putVec(oob)
-		if op.ownData {
-			ds.c.putBuf(op.data)
-		}
-		buf.Release(op.own)
-		ds.drain(zs)
-		ds.maybeFinish(zs)
+		d.oob = ds.c.getVec(1)
+		d.oob[0] = op.oob
 	}
 	if op.own != nil {
 		// Zero-copy: the driver gets a fresh reference; ours is released in
-		// the completion above.
+		// the completion.
 		op.own.Retain()
-		ds.q.WriteOwned(zs.id, op.off, 1, op.data, oob, op.tag, op.own, done)
+		ds.q.WriteOwned(zs.id, op.off, 1, op.data, d.oob, op.tag, op.own, d.ipFn)
 		return
 	}
-	ds.q.Write(zs.id, op.off, 1, op.data, oob, op.tag, done)
+	ds.q.Write(zs.id, op.off, 1, op.data, d.oob, op.tag, d.ipFn)
+}
+
+// inPlaceDone completes an in-place dispatch.
+func (d *dispatchOp) inPlaceDone(r zns.WriteResult) {
+	ds, zs, c := d.ds, d.zs, d.ds.c
+	op := &d.ip
+	zs.inflight--
+	c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
+	zs.ipOffsets[op.off]--
+	if zs.ipOffsets[op.off] <= 0 {
+		delete(zs.ipOffsets, op.off)
+	}
+	c.observeLatency(ds, zs, r)
+	if op.done != nil {
+		op.done(r)
+	}
+	// The device copied OOB (and any raw payload) at submission, or
+	// holds references to a refcounted payload; recycle and release.
+	c.putOOB(op.oob)
+	c.putVec(d.oob)
+	if op.ownData {
+		c.putBuf(op.data)
+	}
+	buf.Release(op.own)
+	ds.drain(zs)
+	ds.maybeFinish(zs)
+	c.putDispatch(d)
 }
 
 func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
@@ -414,9 +451,9 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 		zs.maxSubmitted = b.end() - 1
 	}
 	n := len(b.ops)
+	d := ds.c.getDispatch(ds, zs)
+	d.off, d.ops = b.off, b.ops
 	var data []byte
-	var batch []byte // gather buffer to recycle, nil when passing through
-	var oob [][]byte
 	hasData, hasOOB := false, false
 	for _, op := range b.ops {
 		if op.data != nil {
@@ -436,8 +473,8 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 			// Merged command: gather-copy into one coalesced slab. The copy
 			// buys one device command for n blocks and is counted, so the
 			// merge-vs-copy tradeoff stays observable (payload_copy probe).
-			batch = ds.c.getBatch(n * bs)
-			data = batch
+			d.batch = ds.c.getBatch(n * bs)
+			data = d.batch
 			for i, op := range b.ops {
 				if op.data != nil {
 					copy(data[i*bs:], op.data)
@@ -447,46 +484,50 @@ func (ds *devState) dispatchBatch(zs *zoneState, b appendBatch) {
 		}
 	}
 	if hasOOB {
-		oob = ds.c.getVec(n)
+		d.oob = ds.c.getVec(n)
 		for i, op := range b.ops {
-			oob[i] = op.oob
+			d.oob[i] = op.oob
 		}
-	}
-	done := func(r zns.WriteResult) {
-		zs.inflight--
-		ds.c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
-		for i := range b.ops {
-			ds.markDone(zs, b.off+int64(i))
-		}
-		ds.c.observeLatency(ds, zs, r)
-		for _, op := range b.ops {
-			if op.done != nil {
-				op.done(r)
-			}
-		}
-		// The device copied payload and OOB at submission (or holds its
-		// own references); recycle the gather buffer, the OOB records,
-		// owned payloads, and the batch's op slice.
-		for i := range b.ops {
-			ds.c.putOOB(b.ops[i].oob)
-			if b.ops[i].ownData {
-				ds.c.putBuf(b.ops[i].data)
-			}
-			buf.Release(b.ops[i].own)
-		}
-		ds.c.putBatch(batch)
-		ds.c.putVec(oob)
-		ds.c.putOps(b.ops)
-		ds.drain(zs)
-		ds.maybeFinish(zs)
 	}
 	if n == 1 && b.ops[0].own != nil {
 		own := b.ops[0].own
 		own.Retain() // fresh reference for the driver; ours releases in done
-		ds.q.WriteOwned(zs.id, b.off, 1, data, oob, b.ops[0].tag, own, done)
+		ds.q.WriteOwned(zs.id, b.off, 1, data, d.oob, b.ops[0].tag, own, d.batchFn)
 		return
 	}
-	ds.q.Write(zs.id, b.off, n, data, oob, b.ops[0].tag, done)
+	ds.q.Write(zs.id, b.off, n, data, d.oob, b.ops[0].tag, d.batchFn)
+}
+
+// batchDone completes an append-batch dispatch.
+func (d *dispatchOp) batchDone(r zns.WriteResult) {
+	ds, zs, c := d.ds, d.zs, d.ds.c
+	zs.inflight--
+	c.acct.Charge(cpumodel.CompIO, cpumodel.CostCompletion)
+	for i := range d.ops {
+		ds.markDone(zs, d.off+int64(i))
+	}
+	c.observeLatency(ds, zs, r)
+	for _, op := range d.ops {
+		if op.done != nil {
+			op.done(r)
+		}
+	}
+	// The device copied payload and OOB at submission (or holds its
+	// own references); recycle the gather buffer, the OOB records,
+	// owned payloads, and the batch's op slice.
+	for i := range d.ops {
+		c.putOOB(d.ops[i].oob)
+		if d.ops[i].ownData {
+			c.putBuf(d.ops[i].data)
+		}
+		buf.Release(d.ops[i].own)
+	}
+	c.putBatch(d.batch)
+	c.putVec(d.oob)
+	c.putOps(d.ops)
+	ds.drain(zs)
+	ds.maybeFinish(zs)
+	c.putDispatch(d)
 }
 
 // markDone advances the completed prefix over contiguous finished appends.
@@ -558,10 +599,8 @@ func (ds *devState) freeZone(z int) {
 		}
 	}
 	ds.freeZones = append(ds.freeZones, z)
-	for len(ds.stalled) > 0 && (len(ds.freeZones) > ds.c.stallFloor() || ds.pickVictim() < 0) {
-		fn := ds.stalled[0]
-		ds.stalled = ds.stalled[1:]
-		fn()
+	for ds.stalled.len() > 0 && (len(ds.freeZones) > ds.c.stallFloor() || ds.pickVictim() < 0) {
+		ds.c.appendChunk(ds.stalled.pop())
 	}
 	ds.c.runAllocWaiters()
 }
@@ -569,14 +608,11 @@ func (ds *devState) freeZone(z int) {
 // runAllocWaiters retries work parked on transient allocation failures
 // (open-zone slots exhausted while retired zones drained).
 func (c *Core) runAllocWaiters() {
-	if len(c.allocWaiters) == 0 {
-		return
+	for _, op := range c.allocWaiters {
+		c.eng.AfterEvent(0, op, 0, 0)
 	}
-	waiters := c.allocWaiters
-	c.allocWaiters = nil
-	for _, w := range waiters {
-		c.eng.After(0, w)
-	}
+	clear(c.allocWaiters)
+	c.allocWaiters = c.allocWaiters[:0]
 }
 
 // pickVictim returns the full zone with the least valid chunks, or -1.
